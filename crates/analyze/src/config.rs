@@ -69,8 +69,10 @@ impl Config {
             exclude: s(&["shims/"]),
             // The audited unsafe islands: raw syscalls (epoll/eventfd/
             // mmap, thread CPU clock), the span-name pointer round trip,
-            // the counting GlobalAlloc, and the (future-SIMD) GEMM
-            // microkernel. Everything else: #![forbid(unsafe_code)].
+            // the counting GlobalAlloc, the runtime-dispatched AVX2 L1
+            // CAM scan, and the GEMM microkernel file (safe,
+            // autovectorized Rust today). Everything else:
+            // #![forbid(unsafe_code)].
             unsafe_allowed: s(&[
                 "crates/serve/src/http/sys.rs",
                 "crates/serve/src/mapped.rs",
@@ -78,6 +80,7 @@ impl Config {
                 "crates/obs/src/alloc.rs",
                 "crates/obs/src/span.rs",
                 "crates/tensor/src/gemm/kernel.rs",
+                "crates/index/src/simd.rs",
             ]),
             // The seqlock rings and histogram publish paths: every
             // Relaxed here is a deliberate protocol decision and must

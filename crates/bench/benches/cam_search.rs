@@ -11,11 +11,17 @@
 //!   (the regime trained codebooks live in). Reported times are **per
 //!   batch**; all engines return identical winners, so every entry is
 //!   directly comparable. Medians also land in `target/bench/*.json` via
-//!   the criterion shim's sink for cross-PR regression tracking.
+//!   the criterion shim's sink for cross-PR regression tracking;
+//! * `cam_l1_argmin_batch` — the dispatched [`l1_argmin_batch`] kernel at
+//!   the shapes serving runs: `p64_d9_q1352` is one LeNet conv1 group
+//!   search for a batch of 2 (676 patches each), `p256_d8_q16` one demo
+//!   MLP group search for a batch of 16.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pecan_cam::AnalogCam;
-use pecan_index::{BatchScanner, LinearScan, PqTableIndex, PrototypeIndex};
+use pecan_index::{
+    l1_argmin, l1_argmin_batch, BatchScanner, LinearScan, PqTableIndex, PrototypeIndex,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -113,5 +119,26 @@ fn bench_engines(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cam_search, bench_engines);
+fn bench_serving_shapes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("cam_l1_argmin_batch");
+    group.sample_size(30);
+    for (p, d, q) in [(64usize, 9usize, 1352usize), (256, 8, 16)] {
+        let mut rng = StdRng::seed_from_u64((p * d) as u64);
+        let rows = prototypes(p, d, Some(p / 16), &mut rng);
+        let queries = queries_near(&rows, d, q, &mut rng);
+        let got = l1_argmin_batch(&rows, d, &queries);
+        for (query, &(row, dist)) in queries.chunks_exact(d).zip(&got) {
+            let (want_row, want_dist) = l1_argmin(&rows, d, query);
+            assert!(row == want_row && dist.to_bits() == want_dist.to_bits());
+        }
+        group.bench_with_input(
+            BenchmarkId::new("f32", format!("p{p}_d{d}_q{q}")),
+            &(),
+            |b, ()| b.iter(|| black_box(l1_argmin_batch(&rows, d, black_box(&queries)))),
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_cam_search, bench_engines, bench_serving_shapes);
 criterion_main!(benches);

@@ -3,9 +3,10 @@ use pecan_tensor::{ShapeError, Tensor};
 
 /// Number of queries processed together by the blocked kernel.
 ///
-/// Eight `f32` lanes fill a 256-bit vector register; the accumulator array
-/// of a block fits comfortably in registers, which is what lets the scalar
-/// loop auto-vectorize.
+/// Eight `f32` lanes fill one 256-bit AVX2 register: the explicit kernel
+/// computes a whole block's distances to one prototype in a single vector
+/// accumulator, and the portable loop keeps a block's accumulator array
+/// small enough to stay in registers.
 pub const LANES: usize = 8;
 
 /// Element types the blocked L1 kernel can scan: `f32` (the analog CAM) and
@@ -26,6 +27,20 @@ pub trait L1Element: Copy {
     fn abs_diff(self, other: Self) -> Self::Acc;
     /// Accumulator addition.
     fn add(a: Self::Acc, b: Self::Acc) -> Self::Acc;
+
+    /// Answers a whole [`l1_argmin_batch`] call with an explicit SIMD
+    /// kernel when this host has one for the element type, or returns
+    /// `None` so the portable blocked loop runs instead. An override must
+    /// return exactly what [`l1_argmin`] returns for every query: same
+    /// rows, same distance bits. Only `f32` overrides it (AVX2 on
+    /// x86-64, detected at run time).
+    fn simd_argmin_batch(
+        _rows: &[Self],
+        _width: usize,
+        _queries: &[Self],
+    ) -> Option<Vec<(usize, Self::Acc)>> {
+        None
+    }
 }
 
 impl L1Element for f32 {
@@ -40,6 +55,9 @@ impl L1Element for f32 {
     #[inline]
     fn add(a: f32, b: f32) -> f32 {
         a + b
+    }
+    fn simd_argmin_batch(rows: &[f32], width: usize, queries: &[f32]) -> Option<Vec<(usize, f32)>> {
+        crate::simd::l1_argmin_batch(rows, width, queries)
     }
 }
 
@@ -93,13 +111,17 @@ pub fn l1_argmin<E: L1Element>(rows: &[E], width: usize, query: &[E]) -> (usize,
 
 /// Blocked L1 argmin over a flattened `[p, width]` prototype buffer for a
 /// query-major `[q, width]` query buffer. Returns `(winning row, distance)`
-/// per query, first row winning ties.
+/// per query, first row winning ties, bit-identical to [`l1_argmin`] per
+/// query.
 ///
 /// This is the Quick-ADC-style layout: each block of [`LANES`] queries is
 /// transposed so the inner loop reads one prototype element and updates
-/// [`LANES`] contiguous accumulators — a small distance table that stays in
-/// registers and auto-vectorizes. The final tail block is zero-padded and
-/// the padding lanes discarded.
+/// [`LANES`] contiguous accumulators — one query per lane, elements summed
+/// in ascending order, rows visited in ascending order. On x86-64 hosts
+/// with AVX2 the `f32` scan runs on an explicit 256-bit kernel selected at
+/// run time ([`L1Element::simd_argmin_batch`]); everything else runs the
+/// portable loop. The final tail block is zero-padded and the padding
+/// lanes discarded.
 ///
 /// # Panics
 ///
@@ -118,22 +140,18 @@ pub fn l1_argmin_batch<E: L1Element>(
         "prototype buffer must hold whole rows"
     );
     assert!(queries.len() % width == 0, "query buffer must hold whole queries");
-    let q = queries.len() / width;
-    let mut out = Vec::with_capacity(q);
-    let mut transposed = vec![E::ZERO; width * LANES];
+    E::simd_argmin_batch(rows, width, queries)
+        .unwrap_or_else(|| portable_argmin_batch(rows, width, queries))
+}
 
-    for block_start in (0..q).step_by(LANES) {
-        let lanes = LANES.min(q - block_start);
-        for (k, chunk) in transposed.chunks_exact_mut(LANES).enumerate() {
-            for (l, slot) in chunk.iter_mut().enumerate() {
-                *slot = if l < lanes {
-                    queries[(block_start + l) * width + k]
-                } else {
-                    E::ZERO
-                };
-            }
-        }
-
+/// The portable blocked scan behind [`l1_argmin_batch`]: the fallback for
+/// `i16`, for non-x86 targets and for hosts without AVX2.
+pub(crate) fn portable_argmin_batch<E: L1Element>(
+    rows: &[E],
+    width: usize,
+    queries: &[E],
+) -> Vec<(usize, E::Acc)> {
+    blocked(width, queries, |transposed| {
         let mut best_dist = [E::MAX_ACC; LANES];
         let mut best_row = [0usize; LANES];
         for (r, row) in rows.chunks_exact(width).enumerate() {
@@ -151,9 +169,36 @@ pub fn l1_argmin_batch<E: L1Element>(
                 }
             }
         }
-        for l in 0..lanes {
-            out.push((best_row[l], best_dist[l]));
+        (best_row, best_dist)
+    })
+}
+
+/// Block loop shared by every batch kernel: transposes each block of
+/// [`LANES`] queries into a `[width, LANES]` buffer (the tail block
+/// zero-padded), hands it to `scan` for per-lane `(rows, distances)`, and
+/// keeps the winners of the real lanes in query order.
+pub(crate) fn blocked<E: L1Element>(
+    width: usize,
+    queries: &[E],
+    mut scan: impl FnMut(&[E]) -> ([usize; LANES], [E::Acc; LANES]),
+) -> Vec<(usize, E::Acc)> {
+    let q = queries.len() / width;
+    let mut out = Vec::with_capacity(q);
+    let mut transposed = vec![E::ZERO; width * LANES];
+
+    for block_start in (0..q).step_by(LANES) {
+        let lanes = LANES.min(q - block_start);
+        for (k, chunk) in transposed.chunks_exact_mut(LANES).enumerate() {
+            for (l, slot) in chunk.iter_mut().enumerate() {
+                *slot = if l < lanes {
+                    queries[(block_start + l) * width + k]
+                } else {
+                    E::ZERO
+                };
+            }
         }
+        let (best_row, best_dist) = scan(&transposed);
+        out.extend(best_row.into_iter().zip(best_dist).take(lanes));
     }
     out
 }
@@ -257,6 +302,36 @@ mod tests {
             let expect = linear.nearest_batch(&queries).unwrap();
             let got = scanner.nearest_batch(&queries).unwrap();
             assert_eq!(got, expect, "q={q}");
+        }
+    }
+
+    #[test]
+    fn portable_kernel_matches_scalar_oracle_bit_for_bit() {
+        // The dispatched f32 path takes the AVX2 kernel on hosts that have
+        // it; calling the portable loop directly keeps it covered there.
+        let mut seed = 11u64;
+        for d in [1usize, 8, 9, 17] {
+            for p in [1usize, 5, 64, 67] {
+                let mut rows: Vec<f32> = (0..p * d).map(|_| pseudo(&mut seed)).collect();
+                if p > 3 {
+                    rows.copy_within(0..d, 3 * d); // tie between rows 0 and 3
+                    rows[d] = f32::NAN;
+                    rows[2 * d] = -0.0;
+                }
+                for q in [0usize, 3, 8, 13] {
+                    let mut queries: Vec<f32> = (0..q * d).map(|_| pseudo(&mut seed)).collect();
+                    if q > 1 {
+                        queries[0] = f32::INFINITY;
+                        queries[d] = f32::from_bits(1);
+                    }
+                    let got = portable_argmin_batch(&rows, d, &queries);
+                    assert_eq!(got.len(), q);
+                    for (query, &(row, dist)) in queries.chunks_exact(d).zip(&got) {
+                        let (want_row, want_dist) = l1_argmin(&rows, d, query);
+                        assert_eq!((row, dist.to_bits()), (want_row, want_dist.to_bits()));
+                    }
+                }
+            }
         }
     }
 

@@ -5,7 +5,9 @@
 //! `#[global_allocator]` of a test binary it turns "allocation-free hot
 //! path" doc claims into asserted invariants, and span tracing reads the
 //! same counters so every span reports how many allocations happened
-//! inside it (zero deltas when the allocator is not installed).
+//! inside it. Without the allocator installed the counters stay at zero,
+//! so [`PecanAlloc::is_installed`] tells a true zero from an unknown and
+//! trace exports mark the latter as `null`.
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -21,6 +23,10 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Set by the first allocation that goes through [`PecanAlloc`].
+static INSTALLED: AtomicBool = AtomicBool::new(false);
 
 thread_local! {
     // Const-initialised `Cell`s have no destructor to register, so these
@@ -37,6 +43,11 @@ pub fn alloc_counts() -> (u64, u64) {
 }
 
 fn count(size: usize) {
+    // ordering: a standalone flag that publishes no other data; load
+    // first so steady-state allocations only read a shared cache line.
+    if !INSTALLED.load(Ordering::Relaxed) {
+        INSTALLED.store(true, Ordering::Relaxed);
+    }
     ALLOCS.with(|c| c.set(c.get().wrapping_add(1)));
     BYTES.with(|c| c.set(c.get().wrapping_add(size as u64)));
 }
@@ -45,6 +56,16 @@ fn count(size: usize) {
 /// [`alloc_counts`]. Zero-sized; install with `#[global_allocator]`.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PecanAlloc;
+
+impl PecanAlloc {
+    /// Whether `PecanAlloc` is the process's `#[global_allocator]`: true
+    /// from its first allocation on (every Rust program allocates before
+    /// `main`). When false, [`alloc_counts`] is `(0, 0)` because nothing
+    /// counts, not because nothing allocated.
+    pub fn is_installed() -> bool {
+        INSTALLED.load(Ordering::Relaxed)
+    }
+}
 
 // SAFETY: defers every operation to `System` with the caller's layout
 // unchanged; the only addition is thread-local bookkeeping, which cannot

@@ -8,13 +8,16 @@
 //! construction. Timestamps are microseconds since the trace epoch with
 //! nanosecond precision (three decimal places), and each begin event
 //! carries the span's CPU time, allocation counters and correlation id
-//! in `args`.
+//! in `args`. The allocation counters are `null` (unknown) unless
+//! [`PecanAlloc`] is the global allocator, so an
+//! uncounted process never reports false zeros.
 //!
 //! The encoder is hand-rolled: span names are compile-time `&'static
 //! str` identifiers and thread labels are generated, so the only
 //! escaping JSON requires is the conservative string escape below.
 
 use crate::span::{collect_spans, now_ns, set_tracing, tracing_enabled, SpanRecord};
+use crate::PecanAlloc;
 use std::time::Duration;
 
 /// Exports every span recorded so far (up to ring capacity) as Chrome
@@ -42,6 +45,7 @@ pub fn capture_window_json(window: Duration) -> String {
 /// `[since_ns, until_ns]` (trace-epoch nanoseconds).
 pub fn export_range_json(since_ns: u64, until_ns: u64) -> String {
     let groups = collect_spans(since_ns, until_ns);
+    let allocs_counted = PecanAlloc::is_installed();
     let mut out = String::with_capacity(4096);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     let mut first = true;
@@ -63,7 +67,7 @@ pub fn export_range_json(since_ns: u64, until_ns: u64) -> String {
              \"args\":{{\"name\":\"{}\"}}}}",
             escape(label)
         ));
-        for (_ts, json) in ordered_events(*tid, records) {
+        for (_ts, json) in ordered_events(*tid, records, allocs_counted) {
             push_event(json);
         }
     }
@@ -72,12 +76,14 @@ pub fn export_range_json(since_ns: u64, until_ns: u64) -> String {
 }
 
 /// Begin/end events for one thread's records, ordered so that a viewer
-/// replaying them top-down always sees a well-nested stack.
-fn ordered_events(tid: u32, records: &[SpanRecord]) -> Vec<(u64, String)> {
+/// replaying them top-down always sees a well-nested stack. Allocation
+/// args are `null` unless `allocs_counted`.
+fn ordered_events(tid: u32, records: &[SpanRecord], allocs_counted: bool) -> Vec<(u64, String)> {
     // Sort key: timestamp first; at equal timestamps close before open
     // (an `E` at t must precede an unrelated `B` at t), opens shallowest
     // first, closes deepest first.
     let mut events: Vec<((u64, u8, u32), String)> = Vec::with_capacity(records.len() * 2);
+    let count = |n: u64| if allocs_counted { n.to_string() } else { "null".to_owned() };
     for r in records {
         events.push((
             (r.begin_ns, 1, r.depth),
@@ -88,8 +94,8 @@ fn ordered_events(tid: u32, records: &[SpanRecord]) -> Vec<(u64, String)> {
                 escape(r.name),
                 ts_us(r.begin_ns),
                 r.cpu_ns,
-                r.allocs,
-                r.alloc_bytes,
+                count(r.allocs),
+                count(r.alloc_bytes),
                 r.id,
             ),
         ));
@@ -178,7 +184,7 @@ mod tests {
                 alloc_bytes: 0,
             },
         ];
-        let events = ordered_events(3, &records);
+        let events = ordered_events(3, &records, true);
         let kinds: Vec<(String, char)> = events
             .iter()
             .map(|(_, json)| {
@@ -229,9 +235,31 @@ mod tests {
                 allocs: 1,
                 alloc_bytes: 32,
             }],
+            true,
         );
         assert!(events[0].1.contains("\"cpu_ns\":3"));
         assert!(events[0].1.contains("\"alloc_bytes\":32"));
         assert!(events[0].1.contains("\"id\":9"));
+    }
+
+    #[test]
+    fn alloc_args_are_null_unless_the_counting_allocator_runs() {
+        // This test binary keeps the system allocator, so nothing counts.
+        assert!(!PecanAlloc::is_installed());
+        let record = SpanRecord {
+            name: "x",
+            id: 1,
+            depth: 0,
+            begin_ns: 10,
+            wall_ns: 5,
+            cpu_ns: 3,
+            allocs: 0,
+            alloc_bytes: 0,
+        };
+        let uncounted = &ordered_events(0, &[record], false)[0].1;
+        assert!(uncounted.contains("\"allocs\":null,\"alloc_bytes\":null,"), "{uncounted}");
+        assert!(uncounted.contains("\"cpu_ns\":3"));
+        let counted = &ordered_events(0, &[record], true)[0].1;
+        assert!(counted.contains("\"allocs\":0,\"alloc_bytes\":0,"), "{counted}");
     }
 }

@@ -57,6 +57,11 @@ fn span_recording_is_allocation_free_after_ring_claim() {
     });
     pecan_obs::set_tracing(false);
     assert_eq!(n, 0, "span record allocated {n} times after warm-up");
+    // Counted allocations export as numbers, never as unknown.
+    assert!(PecanAlloc::is_installed());
+    let json = pecan_obs::dump_all_json();
+    assert!(json.contains("alloc_test.steady"));
+    assert!(!json.contains("\"allocs\":null"));
 }
 
 #[test]

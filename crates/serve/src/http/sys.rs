@@ -324,10 +324,16 @@ pub struct Mmap {
     len: usize,
 }
 
-// SAFETY: the mapping is read-only (PROT_READ) for its whole lifetime,
-// so shared references to it may cross threads freely; `Mmap` owns the
-// range exclusively until `munmap` in `Drop`.
+// SAFETY: `Mmap` owns its mapping exclusively until `munmap` in `Drop`,
+// and the mapping is not tied to the creating thread, so moving the
+// owner (and with it the eventual unmap) to another thread is sound.
 unsafe impl Send for Mmap {}
+// SAFETY: `&Mmap` allows only reads: `addr`/`len` are never mutated
+// after construction (no interior mutability), the pages are PROT_READ
+// for the mapping's whole life so `as_bytes`/`as_f32s` views cannot race
+// with a write, and `advise_willneed` is an advisory syscall that
+// changes no contents. The mapping outlives every `&Mmap`, since `Drop`
+// needs `&mut self`.
 unsafe impl Sync for Mmap {}
 
 impl std::fmt::Debug for Mmap {
