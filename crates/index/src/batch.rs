@@ -34,6 +34,11 @@ pub trait L1Element: Copy {
     /// return exactly what [`l1_argmin`] returns for every query: same
     /// rows, same distance bits. Only `f32` overrides it (AVX2 on
     /// x86-64, detected at run time).
+    ///
+    /// Internal dispatch hook, called only by [`l1_argmin_batch`] after
+    /// it has validated the shape (`width > 0`, whole rows, whole
+    /// queries); callers must pass a shape that holds the same checks.
+    #[doc(hidden)]
     fn simd_argmin_batch(
         _rows: &[Self],
         _width: usize,
