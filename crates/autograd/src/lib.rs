@@ -27,6 +27,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 mod gradcheck;
 mod ops;

@@ -26,6 +26,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 mod adder;
 mod binary;

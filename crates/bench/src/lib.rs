@@ -9,6 +9,7 @@
 //! the full PECAN code path (im2col → PQ assignment → LUT → backprop).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub mod diff;
 

@@ -43,6 +43,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 mod batch;
 pub mod complexity;

@@ -35,6 +35,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 mod cifar;
 mod dataset;

@@ -69,7 +69,7 @@
 //! assert_eq!(expect[1].row, 1);
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 mod batch;
 mod linear;

@@ -74,7 +74,9 @@ mod avx2 {
     /// transposed query block (`[width, LANES]`) and returns per-lane
     /// `(winning row, distance)`.
     ///
-    /// SAFETY: the caller must have checked that the host supports AVX2.
+    /// # Safety
+    ///
+    /// The caller must have checked that the host supports AVX2.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn scan_block(
         rows: &[f32],
@@ -123,7 +125,9 @@ mod avx2 {
     }
 
     impl Best {
-        /// SAFETY: the host must support AVX2.
+        /// # Safety
+        ///
+        /// The host must support AVX2.
         #[inline]
         #[target_feature(enable = "avx2")]
         unsafe fn new() -> Best {
@@ -140,7 +144,9 @@ mod avx2 {
         /// Takes the next row's distances: a lane moves only when strictly
         /// (and orderedly) smaller, as the scalar `dist < best`.
         ///
-        /// SAFETY: the host must support AVX2.
+        /// # Safety
+        ///
+        /// The host must support AVX2.
         #[inline]
         #[target_feature(enable = "avx2")]
         unsafe fn offer(&mut self, dist: __m256) {
@@ -153,7 +159,9 @@ mod avx2 {
             }
         }
 
-        /// SAFETY: the host must support AVX2.
+        /// # Safety
+        ///
+        /// The host must support AVX2.
         #[inline]
         #[target_feature(enable = "avx2")]
         unsafe fn finish(self) -> ([usize; LANES], [f32; LANES]) {
@@ -174,7 +182,9 @@ mod avx2 {
 
     /// One transposed block row: query element `k` of all LANES queries.
     ///
-    /// SAFETY: the host must support AVX2.
+    /// # Safety
+    ///
+    /// The host must support AVX2.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn load(lane: &[f32]) -> __m256 {
@@ -188,7 +198,9 @@ mod avx2 {
     /// `|q - cell|` per lane: the scalar `(q - cell).abs()`, which clears
     /// the sign bit of the IEEE difference.
     ///
-    /// SAFETY: the host must support AVX2.
+    /// # Safety
+    ///
+    /// The host must support AVX2.
     #[inline]
     #[target_feature(enable = "avx2")]
     unsafe fn abs_diff(q: __m256, cell: f32) -> __m256 {

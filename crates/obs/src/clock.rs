@@ -30,9 +30,9 @@ pub fn thread_cpu_supported() -> bool {
 }
 
 /// The raw-syscall implementation. This is one of the three confined
-/// unsafe islands of the crate (see `Cargo.toml`): the unsafety is
-/// issuing one syscall whose only pointer argument is a stack-resident
-/// `timespec` the kernel writes during the call.
+/// unsafe islands of the crate (see `tests/lint_policy.rs`): the
+/// unsafety is issuing one syscall whose only pointer argument is a
+/// stack-resident `timespec` the kernel writes during the call.
 // Miri cannot execute inline-asm syscalls; under it the portable
 // constant-zero fallback below takes over, keeping the module testable.
 #[cfg(all(
@@ -58,9 +58,13 @@ mod imp {
         tv_nsec: i64,
     }
 
-    // SAFETY: to call, `n` must be a syscall number whose two arguments
-    // match `a0`/`a1`; any pointer passed must be valid for the kernel's
-    // access pattern for the duration of the call.
+    /// Raw two-argument Linux syscall.
+    ///
+    /// # Safety
+    ///
+    /// `n` must be a syscall number whose two arguments match `a0`/`a1`;
+    /// any pointer passed must be valid for the kernel's access pattern
+    /// for the duration of the call.
     #[cfg(target_arch = "x86_64")]
     unsafe fn syscall2(n: usize, a0: usize, a1: usize) -> isize {
         let ret: isize;
@@ -81,7 +85,9 @@ mod imp {
         ret
     }
 
-    // SAFETY: same caller contract as the x86_64 variant above.
+    /// # Safety
+    ///
+    /// Same caller contract as the x86_64 variant above.
     #[cfg(target_arch = "aarch64")]
     unsafe fn syscall2(n: usize, a0: usize, a1: usize) -> isize {
         let ret: isize;

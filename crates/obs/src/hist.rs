@@ -9,6 +9,10 @@
 //! with relaxed atomics only — no locks, no allocation, no CAS loops on
 //! the hot path.
 
+// Serving hot path: no panics outside tests (`assert!`: tests/lint_policy.rs).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sub-bucket resolution bits: each octave splits into `2^SUB_BITS` buckets.

@@ -39,7 +39,7 @@
 //! assert!(trace_json.contains("my.region"));
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub mod alloc;
 pub mod chrome;

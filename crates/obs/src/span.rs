@@ -30,6 +30,10 @@
 //! overwritten — this is a flight recorder for profiling windows, not an
 //! audit log.
 
+// Serving hot path: no panics outside tests (`assert!`: tests/lint_policy.rs).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+
 use crate::alloc::alloc_counts;
 use crate::clock::thread_cpu_ns;
 use std::cell::{Cell, RefCell};
@@ -136,7 +140,7 @@ impl SpanRecord {
 }
 
 /// Round trip of a `&'static str` through two `u64` ring words. The
-/// second confined unsafe island of the crate (see `Cargo.toml`).
+/// second confined unsafe island of the crate (see `tests/lint_policy.rs`).
 ///
 /// Under Miri the pointer→integer→pointer trip would discard provenance,
 /// so an interning side-table replaces it: `pack` hands out a table index

@@ -27,6 +27,10 @@
 //! pack requests into an [`InferBatch`] at the boundary and unpack the
 //! answer — same bits, one extra copy at each edge.
 
+// Serving hot path: no panics outside tests (`assert!`: tests/lint_policy.rs).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+
 use crate::error::ServeError;
 use crate::obs::StageObserver;
 use crate::stage::{

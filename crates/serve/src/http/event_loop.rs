@@ -27,6 +27,10 @@
 //! deregistered, every connection finishes its pipeline, and the loop
 //! exits when the last connection closes or the drain deadline passes.
 
+// Serving hot path: no panics outside tests (`assert!`: tests/lint_policy.rs).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+
 use super::conn::Conn;
 use super::parser::DEFAULT_MAX_HEAD;
 use super::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLRDHUP};

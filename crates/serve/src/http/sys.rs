@@ -9,9 +9,10 @@
 //! through the portable threaded front end (see
 //! [`event_loop_supported`](crate::event_loop_supported)).
 //!
-//! This is one of the audited unsafe islands `pecan-analyze` fences
-//! (`unsafe_code = "deny"` crate-wide, allowed on the `mod sys` item;
-//! see `docs/static-analysis.md`): the unsafety is confined to issuing
+//! This is one of the workspace's audited unsafe islands
+//! (`unsafe_code = "deny"` workspace-wide, allowed on the `mod sys` item;
+//! the island list is pinned by `tests/lint_policy.rs`, see
+//! `docs/static-analysis.md`): the unsafety is confined to issuing
 //! syscalls whose arguments are either plain integers or pointers
 //! derived from live Rust references.
 
@@ -68,10 +69,12 @@ mod nr {
 
 /// Issues one raw syscall. Negative returns are `-errno`.
 ///
-/// SAFETY: the caller must pass arguments valid for the specific
-/// syscall — every call site in this module passes integers, or
-/// pointers/lengths derived from live references that the kernel only
-/// accesses for the duration of the call.
+/// # Safety
+///
+/// The caller must pass arguments valid for the specific syscall —
+/// every call site in this module passes integers, or pointers/lengths
+/// derived from live references that the kernel only accesses for the
+/// duration of the call.
 #[cfg(target_arch = "x86_64")]
 unsafe fn syscall(n: usize, args: [usize; 6]) -> isize {
     let ret: isize;
@@ -96,7 +99,9 @@ unsafe fn syscall(n: usize, args: [usize; 6]) -> isize {
     ret
 }
 
-/// SAFETY: same caller contract as the `x86_64` twin above.
+/// # Safety
+///
+/// Same caller contract as the `x86_64` twin above.
 #[cfg(target_arch = "aarch64")]
 unsafe fn syscall(n: usize, args: [usize; 6]) -> isize {
     let ret: isize;

@@ -89,7 +89,7 @@
 //!     --addr 127.0.0.1:7878 --model lenet --connections 8 --requests 400
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub mod client;
 pub mod demo;

@@ -9,6 +9,10 @@
 //! oldest records are overwritten — this is a flight recorder, not an
 //! audit log.
 
+// Serving hot path: no panics outside tests (`assert!`: tests/lint_policy.rs).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 

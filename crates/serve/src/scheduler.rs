@@ -27,6 +27,10 @@
 //! several workers (`SchedulerConfig::workers`) against one shared
 //! engine.
 
+// Serving hot path: no panics outside tests (`assert!`: tests/lint_policy.rs).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::todo, clippy::unimplemented, clippy::unreachable)]
+
 use crate::error::ServeError;
 use crate::obs::StageObserver;
 use crate::stats::{ServeStats, StatsSnapshot};
@@ -260,14 +264,15 @@ impl BatchScheduler {
             cvar: Condvar::new(),
             stats,
         });
+        // One-time worker spawn at scheduler construction, not the submit
+        // path: failing to start a worker is a startup failure.
+        #[allow(clippy::expect_used)]
         let workers = (0..config.workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("pecan-serve-{i}"))
                     .spawn(move || worker_loop(&shared))
-                    // analyze: allow(hot-path-panic) -- one-time worker
-                    // spawn at scheduler construction, not the submit path
                     .expect("spawning a scheduler worker")
             })
             .collect();

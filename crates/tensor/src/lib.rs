@@ -30,7 +30,8 @@
 //! # }
 //! ```
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 mod error;
 pub mod gemm;

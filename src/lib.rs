@@ -45,6 +45,7 @@
 //! regenerating every table and figure of the paper.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub use pecan_autograd as autograd;
 pub use pecan_baselines as baselines;
