@@ -1,6 +1,7 @@
 //! End-to-end Algorithm-1 LUT inference for a whole LeNet-shaped layer
 //! stack: PECAN-D float path vs fixed-point integer path vs the dense
-//! baseline. Demonstrates the paper's deployment story at kernel level.
+//! baseline, plus the PECAN-A (softmax-weighted) float path on the same
+//! CONV2 shape. Demonstrates the paper's deployment story at kernel level.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pecan_cam::fixed::{FixedCam, FixedLut, Quantizer};
@@ -25,6 +26,19 @@ fn bench_lut_inference(c: &mut Criterion) {
     let engine = LayerLut::from_conv(&layer).expect("engine");
     let xcol = pecan_tensor::uniform(&mut rng, &[72, 121], -1.0, 1.0);
     let weight = layer.weight().to_tensor();
+    // Drawn after the PECAN-D inputs, which stay as they were.
+    let angle_layer = PecanConv2d::new(
+        &mut rng,
+        PecanVariant::Angle,
+        PqLayerSettings::new(16, 9, 0.5),
+        8,
+        16,
+        3,
+        1,
+        1,
+    )
+    .expect("layer");
+    let angle_engine = LayerLut::from_conv(&angle_layer).expect("engine");
 
     let q = Quantizer::new(12);
     let cams: Vec<FixedCam> = layer
@@ -47,6 +61,9 @@ fn bench_lut_inference(c: &mut Criterion) {
     });
     group.bench_function("pecan_d_float", |b| {
         b.iter(|| black_box(engine.forward_matrix(&xcol, None).expect("forward")));
+    });
+    group.bench_function("pecan_a_float", |b| {
+        b.iter(|| black_box(angle_engine.forward_matrix(&xcol, None).expect("forward")));
     });
     group.bench_function("pecan_d_fixed_point", |b| {
         b.iter(|| {

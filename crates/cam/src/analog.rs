@@ -289,19 +289,23 @@ impl DotProductCam {
         Ok(())
     }
 
-    /// Best-matching row by inner product.
+    /// Best-matching row by inner product, with the convention of
+    /// [`pecan_index::l1_argmin`] mirrored: rows are visited in ascending
+    /// order and only a strictly higher score replaces the best, so the
+    /// lowest row wins ties and a NaN score never wins. When no score
+    /// beats `−∞` (all NaN or `−∞`), the result is row 0 with score `−∞`.
     ///
     /// # Errors
     ///
     /// Returns [`ShapeError`] when `query.len() != d`.
     pub fn search(&self, query: &[f32]) -> Result<SearchResult, ShapeError> {
-        let scores = self.scores(query)?;
-        let (row, &score) = scores
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("scores are finite"))
-            .expect("array is non-empty");
-        Ok(SearchResult { row, score })
+        let mut best = SearchResult { row: 0, score: f32::NEG_INFINITY };
+        for (row, score) in self.scores(query)?.into_iter().enumerate() {
+            if score > best.score {
+                best = SearchResult { row, score };
+            }
+        }
+        Ok(best)
     }
 }
 
@@ -412,6 +416,31 @@ mod tests {
         cam.scores_into(&[2.0, 3.0], &mut buf).unwrap();
         assert_eq!(buf, s);
         assert!(cam.scores_into(&[2.0, 3.0], &mut [0.0; 3]).is_err());
+    }
+
+    #[test]
+    fn dot_cam_search_takes_the_lowest_row_on_ties_and_skips_nan() {
+        // Rows 1 and 3 duplicate the best row 0; row 2 is worse.
+        let cam = DotProductCam::new(
+            Tensor::from_vec(vec![1.0, 2.0, 1.0, 2.0, -1.0, 0.0, 1.0, 2.0], &[4, 2]).unwrap(),
+        )
+        .unwrap();
+        let hit = cam.search(&[1.0, 1.0]).unwrap();
+        assert_eq!((hit.row, hit.score), (0, 3.0));
+        // Row 2 alone scores highest here.
+        assert_eq!(cam.search(&[-1.0, 0.0]).unwrap().row, 2);
+        // A NaN query component makes every score NaN: no panic, and no
+        // NaN is reported as the best score.
+        let nan = cam.search(&[f32::NAN, 1.0]).unwrap();
+        assert_eq!((nan.row, nan.score), (0, f32::NEG_INFINITY));
+        // An infinite component makes row 0 score `0·∞ = NaN` and row 1
+        // score `∞`: the NaN in front does not shadow the later winner.
+        let mixed = DotProductCam::new(
+            Tensor::from_vec(vec![0.0, 1.0, 1.0, 0.0], &[2, 2]).unwrap(),
+        )
+        .unwrap();
+        let hit = mixed.search(&[f32::INFINITY, 1.0]).unwrap();
+        assert_eq!((hit.row, hit.score), (1, f32::INFINITY));
     }
 
     #[test]

@@ -6,6 +6,10 @@ use pecan_pq::{PqConfig, UsageStats};
 use pecan_tensor::{ShapeError, Tensor};
 use rand::Rng;
 
+/// Columns per PECAN-A block in [`LayerLut::angle_group`]: eight `f32`
+/// lanes fill one 256-bit vector, which the lane loops auto-vectorize to.
+const LANES: usize = 8;
+
 /// The Algorithm-1 inference engine for one PECAN layer.
 ///
 /// Construction performs line 3 of Algorithm 1: the filter matrix is split
@@ -333,7 +337,8 @@ impl LayerLut {
     /// column-major [`InferBatch`] whose every column carries the layer's
     /// `D·d` im2col features, and the result is the `[cout]`-per-column
     /// output batch. When `stats` is given, PECAN-D records which
-    /// prototype won each search (Fig. 6).
+    /// prototype won each search (Fig. 6), PECAN-A the prototype with the
+    /// largest softmax weight (the first one on ties).
     ///
     /// This is the batch-first inference entry point: the batch enters as
     /// one contiguous matrix and leaves as one contiguous matrix, so
@@ -343,7 +348,11 @@ impl LayerLut {
     /// `pecan-index` scan answering all columns of a group at once —
     /// straight out of the batch buffer; per-column accumulation order
     /// (bias, then groups in ascending order) matches the historical
-    /// per-column loop, so outputs are bit-identical to it.
+    /// per-column loop, so outputs are bit-identical to it. PECAN-A runs
+    /// each group over blocks of eight columns (see
+    /// `LayerLut::angle_group`), bit-identical to the per-column
+    /// [`DotProductCam::scores_into`] → softmax →
+    /// [`LookupTable::accumulate_weighted`] calls.
     ///
     /// Training-path tools that still hold a row-major `[rows, cols]`
     /// [`Tensor`] should call [`LayerLut::forward_matrix`], the thin shim
@@ -369,17 +378,16 @@ impl LayerLut {
         let cols = x.cols();
         let d = self.config.dim();
         let mut out = InferBatch::zeros(&[self.c_out], cols)?;
+        // The output batch *is* the accumulator: column-major [cout, cols],
+        // every LUT read adds into one contiguous column.
+        let acc = out.data_mut();
+        if let Some(b) = &self.bias {
+            for column in acc.chunks_exact_mut(self.c_out) {
+                column.copy_from_slice(b.data());
+            }
+        }
         match self.variant {
             PecanVariant::Distance => {
-                // The output batch *is* the accumulator: column-major
-                // [cout, cols], every LUT read adds into one contiguous
-                // column.
-                let acc = out.data_mut();
-                if let Some(b) = &self.bias {
-                    for column in acc.chunks_exact_mut(self.c_out) {
-                        column.copy_from_slice(b.data());
-                    }
-                }
                 // One gather scratch reused across every group's search.
                 let mut scratch = Vec::new();
                 for j in 0..self.config.groups() {
@@ -402,23 +410,11 @@ impl LayerLut {
                 }
             }
             PecanVariant::Angle => {
-                let mut scores = vec![0.0f32; self.config.prototypes()];
-                for i in 0..cols {
-                    let column = x.col(i);
-                    let acc = out.col_mut(i);
-                    if let Some(b) = &self.bias {
-                        acc.copy_from_slice(b.data());
-                    }
-                    for j in 0..self.config.groups() {
-                        self.dot[j].scores_into(&column[j * d..(j + 1) * d], &mut scores)?;
-                        let weights = softmax(&scores, self.tau);
-                        self.luts[j].accumulate_weighted(&weights, acc)?;
-                        if let Some(s) = stats.as_deref_mut() {
-                            // record the dominant prototype for usage stats
-                            let best = argmax(&weights);
-                            s.record(j, best);
-                        }
-                    }
+                // Two scratch blocks reused across every group and block.
+                let mut query = vec![[0.0f32; LANES]; d];
+                let mut weights = vec![[0.0f32; LANES]; self.config.prototypes()];
+                for j in 0..self.config.groups() {
+                    self.angle_group(j, &x, acc, &mut query, &mut weights, stats.as_deref_mut());
                 }
             }
         }
@@ -447,23 +443,107 @@ impl LayerLut {
     pub fn new_stats(&self) -> UsageStats {
         UsageStats::new(self.config.groups(), self.config.prototypes())
     }
-}
 
-fn softmax(scores: &[f32], tau: f32) -> Vec<f32> {
-    let mx = scores.iter().copied().fold(f32::NEG_INFINITY, f32::max) / tau;
-    let exps: Vec<f32> = scores.iter().map(|&s| (s / tau - mx).exp()).collect();
-    let z: f32 = exps.iter().sum();
-    exps.into_iter().map(|e| e / z).collect()
-}
-
-fn argmax(values: &[f32]) -> usize {
-    let mut best = 0;
-    for (i, &v) in values.iter().enumerate() {
-        if v > values[best] {
-            best = i;
+    /// PECAN-A for codebook group `j` over every column of `x`, adding the
+    /// softmax-weighted LUT sums into the column-major output `out`.
+    ///
+    /// Columns go in blocks of [`LANES`], one column per lane, with the
+    /// tail block padded by zero queries whose results are discarded. Each
+    /// lane repeats exactly the IEEE operation sequence of
+    /// [`DotProductCam::scores_into`], the softmax
+    /// `w = exp(s/τ − max(s)/τ) / Σ exp(..)` (max folded from `−∞`, sums
+    /// in ascending index order) and [`LookupTable::accumulate_weighted`]
+    /// on its column alone, so the output is bit-identical to those
+    /// per-column calls while every inner loop runs over the lanes side by
+    /// side. `query` (`[d]`) and `weights` (`[p]`) are caller-owned scratch.
+    fn angle_group(
+        &self,
+        j: usize,
+        x: &InferBatch,
+        out: &mut [f32],
+        query: &mut [[f32; LANES]],
+        weights: &mut [[f32; LANES]],
+        mut stats: Option<&mut UsageStats>,
+    ) {
+        let d = self.config.dim();
+        let p = weights.len();
+        let tau = self.tau;
+        let rows = self.dot[j].rows().data();
+        let table = self.luts[j].table().data();
+        for first in (0..x.cols()).step_by(LANES) {
+            let lanes = LANES.min(x.cols() - first);
+            // [d][LANES] gather of the block's sub-rows for this group.
+            for l in 0..LANES {
+                if l < lanes {
+                    let sub = &x.col(first + l)[j * d..(j + 1) * d];
+                    for (q, &v) in query.iter_mut().zip(sub) {
+                        q[l] = v;
+                    }
+                } else {
+                    for q in query.iter_mut() {
+                        q[l] = 0.0;
+                    }
+                }
+            }
+            // Scores, `k` ascending from -0.0 as `Iterator::sum` starts
+            // (the sign of a zero score cannot reach the weights).
+            for (w, row) in weights.iter_mut().zip(rows.chunks_exact(d)) {
+                let mut s = [-0.0f32; LANES];
+                for (&a, q) in row.iter().zip(query.iter()) {
+                    for (s, &b) in s.iter_mut().zip(q) {
+                        *s += a * b;
+                    }
+                }
+                *w = s;
+            }
+            // Softmax in place, per lane.
+            let mut mx = [f32::NEG_INFINITY; LANES];
+            for w in weights.iter() {
+                for (m, &s) in mx.iter_mut().zip(w) {
+                    *m = m.max(s);
+                }
+            }
+            for m in &mut mx {
+                *m /= tau;
+            }
+            let mut z = [-0.0f32; LANES];
+            for w in weights.iter_mut() {
+                for ((e, &m), z) in w.iter_mut().zip(&mx).zip(&mut z) {
+                    *e = (*e / tau - m).exp();
+                    *z += *e;
+                }
+            }
+            for w in weights.iter_mut() {
+                for (e, &z) in w.iter_mut().zip(&z) {
+                    *e /= z;
+                }
+            }
+            if let Some(stats) = stats.as_deref_mut() {
+                // The dominant prototype per column; the first maximum wins.
+                for l in 0..lanes {
+                    let mut best = 0;
+                    for (m, w) in weights.iter().enumerate() {
+                        if w[l] > weights[best][l] {
+                            best = m;
+                        }
+                    }
+                    stats.record(j, best);
+                }
+            }
+            // Weighted LUT sum per output, `m` ascending from 0.0.
+            for (o, row) in table.chunks_exact(p).enumerate() {
+                let mut s = [0.0f32; LANES];
+                for (w, &y) in weights.iter().zip(row) {
+                    for (s, &w) in s.iter_mut().zip(w) {
+                        *s += w * y;
+                    }
+                }
+                for (l, &s) in s.iter().take(lanes).enumerate() {
+                    out[(first + l) * self.c_out + o] += s;
+                }
+            }
         }
     }
-    best
 }
 
 #[cfg(test)]

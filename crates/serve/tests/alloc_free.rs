@@ -12,6 +12,9 @@
 //!   count does not *grow* once caches and queues are warm — catching
 //!   accidental per-request leaks or O(n)-growth bugs without pretending
 //!   the paths are allocation-free.
+//! * **Independent of batch size** — PECAN-A `FrozenEngine::infer`: the
+//!   lane-blocked softmax path reuses its scratch across columns and
+//!   groups, so a batch of 32 allocates exactly as often as a batch of 1.
 //!
 //! The counters are thread-local, so the parallel test harness and the
 //! scheduler's own worker threads do not perturb a test's measurement.
@@ -120,5 +123,60 @@ fn steady_state_infer_allocation_count_is_constant() {
     assert_eq!(
         per_call[1], per_call[2],
         "infer allocation count changed between warm calls: {per_call:?}"
+    );
+}
+
+/// A small PECAN-A network with one conv layer: conv 1→4 (3×3, pad 1) on
+/// 6×6 input, then two linear layers, ReLU between.
+fn angle_engine(seed: u64) -> pecan_serve::FrozenEngine {
+    use pecan_core::{PecanConv2d, PecanLinear, PecanVariant, PqLayerSettings};
+    use pecan_nn::{Flatten, Relu, Sequential};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut net = Sequential::new();
+    net.push(Box::new(
+        PecanConv2d::new(&mut rng, PecanVariant::Angle, PqLayerSettings::new(8, 9, 1.0), 1, 4, 3, 1, 1)
+            .expect("conv"),
+    ));
+    net.push(Box::new(Relu));
+    net.push(Box::new(Flatten));
+    net.push(Box::new(
+        PecanLinear::new(&mut rng, PecanVariant::Angle, PqLayerSettings::new(8, 4, 1.0), 144, 12)
+            .expect("linear"),
+    ));
+    net.push(Box::new(Relu));
+    net.push(Box::new(
+        PecanLinear::new(&mut rng, PecanVariant::Angle, PqLayerSettings::new(8, 4, 1.0), 12, 5)
+            .expect("linear"),
+    ));
+    pecan_serve::FrozenEngine::compile(&net, &[1, 6, 6]).expect("compile")
+}
+
+#[test]
+fn angle_infer_allocation_count_does_not_grow_with_batch_size() {
+    use pecan_core::InferBatch;
+
+    let engine = angle_engine(11);
+    let input_len = engine.input_len();
+    // Batches built up front so building them does not count.
+    let batch = |n: usize| {
+        let data = (0..n * input_len).map(|i| (i % 17) as f32 / 17.0 - 0.5).collect();
+        InferBatch::from_data(data, engine.input_shape(), n).expect("batch")
+    };
+    let mut batches = vec![batch(1), batch(32), batch(1), batch(32)];
+    let mut infer = || {
+        let b = batches.remove(0);
+        std::hint::black_box(engine.infer(b).expect("infer"));
+    };
+
+    infer(); // warm-up at both sizes: one-time lazy init inside kernels
+    infer();
+    let at_1 = allocs_during(&mut infer);
+    let at_32 = allocs_during(&mut infer);
+    assert_eq!(
+        at_1, at_32,
+        "PECAN-A infer allocated {at_1} times at batch 1 but {at_32} at batch 32"
     );
 }
