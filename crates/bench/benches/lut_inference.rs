@@ -2,10 +2,13 @@
 //! stack: PECAN-D float path vs fixed-point integer path vs the dense
 //! baseline, plus the PECAN-A (softmax-weighted) float path on the same
 //! CONV2 shape. Demonstrates the paper's deployment story at kernel level.
+//! `pecan_d_fc_256` is the demo MLP's hidden layer (256→256, p 256, d 8)
+//! over 16 columns: 32 table rows of 256 outputs per column, the shape
+//! whose cost is the LUT accumulation rather than the CAM scan.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pecan_cam::fixed::{FixedCam, FixedLut, Quantizer};
-use pecan_core::{LayerLut, PecanConv2d, PecanVariant, PqLayerSettings};
+use pecan_core::{LayerLut, PecanConv2d, PecanLinear, PecanVariant, PqLayerSettings};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -39,6 +42,17 @@ fn bench_lut_inference(c: &mut Criterion) {
     )
     .expect("layer");
     let angle_engine = LayerLut::from_conv(&angle_layer).expect("engine");
+    // Drawn after every input above, which stay as they were.
+    let fc_layer = PecanLinear::new(
+        &mut rng,
+        PecanVariant::Distance,
+        PqLayerSettings::new(256, 8, 0.5),
+        256,
+        256,
+    )
+    .expect("layer");
+    let fc_engine = LayerLut::from_linear(&fc_layer).expect("engine");
+    let fc_cols = pecan_tensor::uniform(&mut rng, &[256, 16], -1.0, 1.0);
 
     let q = Quantizer::new(12);
     let cams: Vec<FixedCam> = layer
@@ -64,6 +78,9 @@ fn bench_lut_inference(c: &mut Criterion) {
     });
     group.bench_function("pecan_a_float", |b| {
         b.iter(|| black_box(angle_engine.forward_matrix(&xcol, None).expect("forward")));
+    });
+    group.bench_function("pecan_d_fc_256", |b| {
+        b.iter(|| black_box(fc_engine.forward_matrix(&fc_cols, None).expect("forward")));
     });
     group.bench_function("pecan_d_fixed_point", |b| {
         b.iter(|| {

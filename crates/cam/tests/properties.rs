@@ -115,6 +115,79 @@ proptest! {
         }
     }
 
+    /// The prototype-major store is invisible through the `[cout, p]`
+    /// API: the view returns the input bit for bit, and both reads equal
+    /// a reference indexed `(output, entry)` on that input, bit for bit,
+    /// in the historical operation order. `cout` reaches past one
+    /// 64-output block of the weighted read.
+    #[test]
+    fn lut_layout_is_invisible_through_the_cout_p_api(
+        cout in 1usize..140,
+        p in 1usize..10,
+        values in proptest::collection::vec(-4.0f32..4.0, 140 * 10),
+        weights in proptest::collection::vec(0.0f32..1.0, 10),
+        seed_acc in proptest::collection::vec(-4.0f32..4.0, 140),
+        entry in 0usize..10,
+    ) {
+        let t = Tensor::from_vec(values[..cout * p].to_vec(), &[cout, p]).unwrap();
+        let (w, entry) = (&weights[..p], entry % p);
+        let lut = LookupTable::new(t.clone()).unwrap();
+        prop_assert_eq!((lut.outputs(), lut.entries()), (cout, p));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(lut.table().data()), bits(t.data()));
+
+        let mut got = seed_acc[..cout].to_vec();
+        lut.accumulate_column(entry, &mut got).unwrap();
+        let want: Vec<f32> =
+            (0..cout).map(|o| seed_acc[o] + t.get2(o, entry)).collect();
+        prop_assert_eq!(bits(&got), bits(&want));
+
+        let mut got = seed_acc[..cout].to_vec();
+        lut.accumulate_weighted(w, &mut got).unwrap();
+        let want: Vec<f32> = (0..cout)
+            .map(|o| {
+                let mut s = 0.0f32;
+                for m in 0..p {
+                    s += w[m] * t.get2(o, m);
+                }
+                seed_acc[o] + s
+            })
+            .collect();
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
+
+    /// Equality compares the products only: building the cached
+    /// `[cout, p]` view on one side changes nothing.
+    #[test]
+    fn lut_equality_ignores_the_cached_view(table in matrix(3, 5), other in matrix(3, 5)) {
+        let a = LookupTable::new(table.clone()).unwrap();
+        let b = LookupTable::new(table.clone()).unwrap();
+        prop_assert!(a == b);
+        let _ = b.table();
+        prop_assert!(a == b);
+        prop_assert!(a.clone() == b.clone());
+        let rows = LookupTable::from_prototype_rows(a.prototype_rows().clone()).unwrap();
+        prop_assert!(rows == b);
+        prop_assert_eq!(LookupTable::new(other.clone()).unwrap() == a, other == table);
+    }
+
+    /// Pruning selects prototype rows, which is the old column selection
+    /// of the `[cout, p]` table.
+    #[test]
+    fn lut_prune_matches_column_selection(
+        table in matrix(4, 6),
+        keep in proptest::collection::vec(0usize..6, 1..8),
+    ) {
+        let pruned = LookupTable::new(table.clone()).unwrap().prune(&keep).unwrap();
+        let view = pruned.table();
+        prop_assert_eq!(view.dims(), &[4, keep.len()][..]);
+        for o in 0..4 {
+            for (new_m, &old_m) in keep.iter().enumerate() {
+                prop_assert_eq!(view.get2(o, new_m).to_bits(), table.get2(o, old_m).to_bits());
+            }
+        }
+    }
+
     #[test]
     fn cost_model_is_linear_in_ops(adds in 0u64..1_000_000, muls in 0u64..1_000_000) {
         let m = CostModel::via_nano();

@@ -10,18 +10,25 @@ use rand::Rng;
 /// lanes fill one 256-bit vector, which the lane loops auto-vectorize to.
 const LANES: usize = 8;
 
+/// Outputs whose `[LANES]` partial sums [`weighted_rows`] keeps in
+/// registers while it walks the table rows: 4 × 8 lanes fit the sixteen
+/// 128-bit registers of the baseline x86-64 target with room for the
+/// weights.
+const OUT_TILE: usize = 4;
+
 /// The Algorithm-1 inference engine for one PECAN layer.
 ///
 /// Construction performs line 3 of Algorithm 1: the filter matrix is split
 /// into per-group sub-matrices `W1(j) ∈ R^{cout×d}` and multiplied with the
 /// codebooks `C1(j) ∈ R^{d×p}` once, yielding the lookup tables
-/// `Y(j) ∈ R^{cout×p}`. The prototypes themselves are programmed into CAM
-/// arrays ([`AnalogCam`] for PECAN-D, [`DotProductCam`] for PECAN-A).
+/// `Y(j) ∈ R^{cout×p}`, stored prototype-major (see [`LookupTable`]). The
+/// prototypes themselves are programmed into CAM arrays ([`AnalogCam`] for
+/// PECAN-D, [`DotProductCam`] for PECAN-A).
 ///
 /// At inference, each im2col column triggers `D` CAM searches and `D`
-/// table reads — **no dense filtering arithmetic ever runs**. For PECAN-D
-/// this path is multiplier-free; the test suite asserts it matches the
-/// training-path forward bit-for-bit.
+/// contiguous table-row reads — **no dense filtering arithmetic ever
+/// runs**. For PECAN-D this path is multiplier-free; the test suite
+/// asserts it matches the training-path forward bit-for-bit.
 #[derive(Debug)]
 pub struct LayerLut {
     variant: PecanVariant,
@@ -138,7 +145,7 @@ impl LayerLut {
     /// # Errors
     ///
     /// Returns [`ShapeError`] when the part counts or shapes disagree with
-    /// `config` (group count, `[d, p]` codebooks, `[cout, p]` tables with a
+    /// `config` (group count, `[d, p]` codebooks, `p`-entry tables with a
     /// consistent `cout`, bias of length `cout`).
     pub fn from_tables(
         variant: PecanVariant,
@@ -195,7 +202,7 @@ impl LayerLut {
 
     /// As [`LayerLut::from_tables`], but takes the CAM arrays directly in
     /// their **runtime** `[p, d]` row layout — no transpose, no copy. This
-    /// is the zero-copy deserialization hook: snapshot v3 stores every
+    /// is the zero-copy deserialization hook: snapshot v4 stores every
     /// section in runtime layout, so a loader can hand in borrowed
     /// [`Tensor`] views over a memory-mapped file and the engine is built
     /// without touching the bulk data.
@@ -203,7 +210,7 @@ impl LayerLut {
     /// # Errors
     ///
     /// Returns [`ShapeError`] when the part counts or shapes disagree with
-    /// `config` (group count, `[p, d]` CAM rows, `[cout, p]` tables with a
+    /// `config` (group count, `[p, d]` CAM rows, `p`-entry tables with a
     /// consistent `cout`, bias of length `cout`).
     pub fn from_borrowed_tables(
         variant: PecanVariant,
@@ -300,8 +307,8 @@ impl LayerLut {
 
     /// The per-group CAM arrays in their runtime `[p, d]` row layout — the
     /// exact tensors a [`LayerLut::from_borrowed_tables`] round trip needs
-    /// (and the layout snapshot v3 stores, so serialization is a straight
-    /// byte copy with no transpose).
+    /// (and the layout snapshots v3 and v4 store, so serialization is a
+    /// straight byte copy with no transpose).
     pub fn cam_rows(&self) -> Vec<&Tensor> {
         match self.variant {
             PecanVariant::Distance => self.analog.iter().map(AnalogCam::rows).collect(),
@@ -455,7 +462,10 @@ impl LayerLut {
     /// in ascending index order) and [`LookupTable::accumulate_weighted`]
     /// on its column alone, so the output is bit-identical to those
     /// per-column calls while every inner loop runs over the lanes side by
-    /// side. `query` (`[d]`) and `weights` (`[p]`) are caller-owned scratch.
+    /// side. The weighted sum walks the prototype-major table rows with
+    /// `m` ascending, [`OUT_TILE`] outputs at a time (see
+    /// [`weighted_rows`]). `query` (`[d]`) and `weights` (`[p]`) are
+    /// caller-owned scratch.
     fn angle_group(
         &self,
         j: usize,
@@ -466,10 +476,9 @@ impl LayerLut {
         mut stats: Option<&mut UsageStats>,
     ) {
         let d = self.config.dim();
-        let p = weights.len();
         let tau = self.tau;
         let rows = self.dot[j].rows().data();
-        let table = self.luts[j].table().data();
+        let table = self.luts[j].prototype_rows().data();
         for first in (0..x.cols()).step_by(LANES) {
             let lanes = LANES.min(x.cols() - first);
             // [d][LANES] gather of the block's sub-rows for this group.
@@ -531,19 +540,48 @@ impl LayerLut {
                 }
             }
             // Weighted LUT sum per output, `m` ascending from 0.0.
-            for (o, row) in table.chunks_exact(p).enumerate() {
-                let mut s = [0.0f32; LANES];
-                for (w, &y) in weights.iter().zip(row) {
-                    for (s, &w) in s.iter_mut().zip(w) {
-                        *s += w * y;
+            // Full tiles of `OUT_TILE` outputs, then the rest one by one.
+            let mut o = 0;
+            while o < self.c_out {
+                let mut tile = [[0.0f32; LANES]; OUT_TILE];
+                let n = if self.c_out - o >= OUT_TILE {
+                    tile = weighted_rows::<OUT_TILE>(weights, table, self.c_out, o);
+                    OUT_TILE
+                } else {
+                    tile[0] = weighted_rows::<1>(weights, table, self.c_out, o)[0];
+                    1
+                };
+                for (k, s) in tile[..n].iter().enumerate() {
+                    for (l, &s) in s.iter().take(lanes).enumerate() {
+                        out[(first + l) * self.c_out + o + k] += s;
                     }
                 }
-                for (l, &s) in s.iter().take(lanes).enumerate() {
-                    out[(first + l) * self.c_out + o] += s;
-                }
+                o += n;
             }
         }
     }
+}
+
+/// `Σ_m weights[m][l] · table[m][o0 + k]` for the `N` outputs
+/// `o0 + k` and every lane `l`, each sum from `0.0` with `m` ascending —
+/// [`LookupTable::accumulate_weighted`]'s order. `table` is
+/// prototype-major with rows of `c_out`; the `N × LANES` sums stay in
+/// registers across the walk.
+fn weighted_rows<const N: usize>(
+    weights: &[[f32; LANES]],
+    table: &[f32],
+    c_out: usize,
+    o0: usize,
+) -> [[f32; LANES]; N] {
+    let mut s = [[0.0f32; LANES]; N];
+    for (w, row) in weights.iter().zip(table.chunks_exact(c_out)) {
+        for (s, &y) in s.iter_mut().zip(&row[o0..o0 + N]) {
+            for (s, &w) in s.iter_mut().zip(w) {
+                *s += w * y;
+            }
+        }
+    }
+    s
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 //! `--queue-cap N`, `--workers N` (scheduler knobs apply to every model).
 //!
 //! Lifecycle knobs: `--mmap` (serve snapshots straight from page cache
-//! via `FrozenEngine::open_snapshot` — instant cold start for v3 files),
+//! via `FrozenEngine::open_snapshot` — instant cold start for v4 files),
 //! `--model-dir PATH` (watch a directory of `*.psnp` files: new files
 //! hot-register, changed files blue/green-reload; see
 //! `docs/serving-ops.md`), `--watch-interval-ms N` (scan period, default

@@ -3,16 +3,16 @@
 //! ```text
 //! snapshot-tool info model.psnp            # header, shapes, section map
 //! snapshot-tool verify model.psnp          # every checksum; exit 0/1
-//! snapshot-tool convert --to 3 old.psnp new.psnp
+//! snapshot-tool convert --to 4 old.psnp new.psnp
 //! ```
 //!
 //! `info` reads only the header (plus the whole-file checksum for v1/v2
 //! files, where nothing smaller exists). `verify` fully decodes the file
 //! the way `FrozenEngine::load_snapshot` would — per-section CRCs and
-//! structural validation for v3, whole-file CRC for v1/v2 — and exits
+//! structural validation for v3/v4, whole-file CRC for v1/v2 — and exits
 //! non-zero on the first problem, so it slots into CI and deploy gates.
 //! `convert` re-encodes between any two supported versions; converting
-//! v1/v2 → 3 is how pre-existing models become memory-mappable
+//! v1/v2/v3 → 4 is how pre-existing models become memory-mappable
 //! (`serve --mmap`). Conversion is lossless: the engine loaded from the
 //! output predicts bit-identically to one loaded from the input. The
 //! byte-level formats are specified in `docs/snapshot-format.md`.
@@ -88,7 +88,7 @@ fn verify(path: &str) -> Result<(), String> {
     let bytes = read(path)?;
     let info = inspect_snapshot_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
     // The copying decoder checks everything the format promises: header
-    // CRC + every section CRC + structural validation (v3), or the
+    // CRC + every section CRC + structural validation (v3/v4), or the
     // whole-file CRC + structural validation (v1/v2).
     let engine = FrozenEngine::from_snapshot_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
     println!(

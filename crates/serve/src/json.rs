@@ -14,13 +14,15 @@
 /// non-finite values are not valid JSON and do not occur in engine
 /// outputs).
 pub fn format_f32_array(values: &[f32]) -> String {
+    use std::fmt::Write;
     let mut out = String::with_capacity(values.len() * 8 + 2);
     out.push('[');
     for (i, v) in values.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!("{v}"));
+        // Formats straight into `out`; writing to a `String` cannot fail.
+        let _ = write!(out, "{v}");
     }
     out.push(']');
     out
@@ -173,6 +175,30 @@ mod tests {
         for (a, b) in values.iter().zip(&parsed) {
             assert_eq!(a.to_bits(), b.to_bits(), "{a} must survive the wire");
         }
+    }
+
+    #[test]
+    fn formatting_matches_per_value_display() {
+        let values = [
+            -0.0f32,
+            0.0,
+            1e-45,
+            f32::from_bits(0x0040_0000),
+            f32::MIN_POSITIVE,
+            f32::MAX,
+            f32::MIN,
+            16_777_216.0,
+            -3.0,
+            0.1,
+            -7.25e-12,
+        ];
+        let want = format!(
+            "[{}]",
+            values.iter().map(|v| format!("{v}")).collect::<Vec<_>>().join(",")
+        );
+        assert_eq!(format_f32_array(&values), want);
+        assert_eq!(format_f32_array(&[]), "[]");
+        assert_eq!(format_f32_array(&[-0.0, 1e-45]), "[-0,0.000000000000000000000000000000000000000000001]");
     }
 
     #[test]

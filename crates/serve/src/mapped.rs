@@ -1,17 +1,17 @@
 //! Memory-mapped snapshot loading: engines served straight from page cache.
 //!
-//! [`FrozenEngine::open_snapshot`] maps a version-3 snapshot file
+//! [`FrozenEngine::open_snapshot`] maps a version-4 snapshot file
 //! (`PROT_READ`, `MAP_PRIVATE`) and builds the engine as borrowed views
 //! into the mapping — validation happens on the header, the bulk tensors
 //! are [`pecan_tensor::Tensor::from_shared`] windows that the kernel pages
 //! in on first touch. Cold start is an `mmap` plus a header parse no
 //! matter how large the model is, and N processes (or N reloads) of one
 //! file share one copy of the weights in page cache. See
-//! `docs/snapshot-format.md` for why the v3 layout (64-byte-aligned
+//! `docs/snapshot-format.md` for why the v4 layout (64-byte-aligned
 //! little-endian sections in runtime layout) makes this possible.
 //!
 //! On targets without the raw-syscall layer (anything but Linux
-//! `x86_64`/`aarch64` — see [`mmap_supported`]), and for version-1/2
+//! `x86_64`/`aarch64` — see [`mmap_supported`]), and for version-1/2/3
 //! files, `open_snapshot` transparently falls back to the copying loader
 //! [`FrozenEngine::load_snapshot`]: same engine, same bits, just a heap
 //! copy.
@@ -79,16 +79,17 @@ fn open_inner(path: &Path, verify_sections: bool) -> Result<FrozenEngine, Snapsh
         use pecan_tensor::F32Source;
         use std::sync::Arc;
 
-        // Only v3 files have a mappable layout; anything else (older
-        // versions, foreign files, unmappable paths) goes through the
-        // copying loader so errors and bits match `load_snapshot` exactly.
+        // Only current-version files have a mappable layout; anything else
+        // (older versions — v3 tables need a transpose — foreign files,
+        // unmappable paths) goes through the copying loader so errors and
+        // bits match `load_snapshot` exactly.
         if let Ok(mapped) = imp::MappedSnapshot::open(path) {
             let header = mapped.bytes();
-            let is_v3 = header.len() >= 12
+            let is_current = header.len() >= 12
                 && header[..SNAPSHOT_MAGIC.len()] == SNAPSHOT_MAGIC
                 && u32::from_le_bytes(header[8..12].try_into().expect("four bytes"))
                     == SNAPSHOT_VERSION;
-            if is_v3 {
+            if is_current {
                 if !verify_sections {
                     // Warm the page cache in the background; purely
                     // advisory, the open itself stays instant.
@@ -108,10 +109,10 @@ fn open_inner(path: &Path, verify_sections: bool) -> Result<FrozenEngine, Snapsh
 }
 
 impl FrozenEngine {
-    /// Opens a snapshot for serving: version-3 files on supported targets
+    /// Opens a snapshot for serving: version-4 files on supported targets
     /// are memory-mapped and the engine's bulk tensors borrow the mapping
     /// (no bulk copy, no bulk read — the header is validated, weights
-    /// fault in on first use). Version-1/2 files and unsupported targets
+    /// fault in on first use). Version-1/2/3 files and unsupported targets
     /// fall back to [`FrozenEngine::load_snapshot`] transparently.
     ///
     /// The fast path checks the header CRC but **not** the per-section
@@ -170,7 +171,7 @@ mod tests {
             let verified = FrozenEngine::open_snapshot_verified(&path).unwrap();
             assert!(!copied.uses_shared_storage());
             if mmap_supported() {
-                assert!(opened.uses_shared_storage(), "v3 open must borrow the mapping");
+                assert!(opened.uses_shared_storage(), "v4 open must borrow the mapping");
                 assert!(verified.uses_shared_storage());
             }
             let x = vec![0.375f32; engine.input_len()];

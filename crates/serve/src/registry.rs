@@ -64,7 +64,7 @@ pub enum LoadMode {
     /// [`FrozenEngine::load_snapshot`]: decode to the heap, verify every
     /// checksum.
     Copy,
-    /// [`FrozenEngine::open_snapshot`]: memory-map v3 files and borrow
+    /// [`FrozenEngine::open_snapshot`]: memory-map v4 files and borrow
     /// the mapping (falls back to copying where unsupported).
     Map,
 }

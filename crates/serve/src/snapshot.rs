@@ -7,7 +7,7 @@
 //! to the saved one's — `tests/snapshot_roundtrip.rs` pins
 //! save→load→predict parity by property test.
 //!
-//! The normative byte-level specification of all three format revisions
+//! The normative byte-level specification of all four format revisions
 //! lives in [`docs/snapshot-format.md`] — this module doc is the summary.
 //!
 //! [`docs/snapshot-format.md`]: https://github.com/pecan/pecan/blob/main/docs/snapshot-format.md
@@ -30,16 +30,19 @@
 //! checksum     u32      CRC-32 (IEEE) over every preceding byte
 //! ```
 //!
-//! **Version 3** (current) splits the file into a self-checksummed header
-//! and 64-byte-aligned bulk **sections** addressed by a directory, stored in
-//! the engine's *runtime* layout (CAM rows `[p, d]`, tables `[cout, p]`)
-//! so a loader can construct the engine over a borrowed byte buffer — e.g.
-//! a memory-mapped file — with **no bulk copy**
-//! ([`FrozenEngine::open_snapshot`]):
+//! **Versions 3–4** split the file into a self-checksummed header and
+//! 64-byte-aligned bulk **sections** addressed by a directory. Version 4
+//! (current) stores every section in the engine's *runtime* layout (CAM
+//! rows `[p, d]`, prototype-major tables `[p, cout]`) so a loader can
+//! construct the engine over a borrowed byte buffer — e.g. a memory-mapped
+//! file — with **no bulk copy** ([`FrozenEngine::open_snapshot`]).
+//! Version 3 is the same container with `[cout, p]` tables; it stays
+//! readable and writable, but only through the copying loader, which
+//! transposes its tables once:
 //!
 //! ```text
 //! magic          8 × u8   "PECANSNP"
-//! version        u32      3
+//! version        u32      3 or 4
 //! header_len     u32      bytes [0, header_len) are the header region
 //! section count  u32
 //! directory      count × { offset u64, byte_len u64, crc u32 }
@@ -59,11 +62,11 @@
 //! or the `snapshot-tool verify` command, so an open does not have to fault
 //! in the bulk data (instant cold start).
 //!
-//! [`FrozenEngine::load_snapshot`] still reads version-1/2 files
+//! [`FrozenEngine::load_snapshot`] still reads version-1/2/3 files
 //! bit-identically via the copying path. Snapshots from *newer* revisions
 //! are rejected with a typed [`SnapshotError::UnsupportedVersion`]. To
 //! produce a file an old reader can load, use
-//! [`FrozenEngine::snapshot_bytes_versioned`] with version 1 or 2 (also
+//! [`FrozenEngine::snapshot_bytes_versioned`] with version 1, 2 or 3 (also
 //! exposed as `snapshot-tool convert`).
 //!
 //! Stage tags: `0` ReLU · `1` MaxPool (`kernel`, `stride` as u32) · `2`
@@ -71,9 +74,10 @@
 //! payloads carry `variant` (u8: 0 = Distance, 1 = Angle), `dim`,
 //! `groups`, `prototypes` (u32), `tau` (f32), `c_out` (u32), a bias flag
 //! (u8), conv-only geometry (`c_in`, `h_in`, `w_in`, `kernel`, `stride`,
-//! `padding` as u32), then per group the codebook and the `[c_out, p]`
-//! table (v1/v2: inline `[d, p]` codebook bits; v3: section indices of the
-//! `[p, d]` CAM rows and the table), then the bias when flagged.
+//! `padding` as u32), then per group the codebook and the table (v1/v2:
+//! inline `[d, p]` codebook and `[c_out, p]` table bits; v3/v4: section
+//! indices of the `[p, d]` CAM rows and of the table, `[c_out, p]` in v3
+//! and `[p, c_out]` in v4), then the bias when flagged.
 //!
 //! Every decoding failure is a typed [`SnapshotError`] — truncation,
 //! flipped bits (checksum), foreign files (magic), future versions,
@@ -97,9 +101,9 @@ use std::sync::Arc;
 /// First eight bytes of every snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"PECANSNP";
 /// Format revision this build writes and the highest it reads.
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
-/// Alignment of every v3 section (and of the v3 file length).
+/// Alignment of every v3/v4 section (and of the v3/v4 file length).
 pub const SECTION_ALIGN: usize = 64;
 
 const TAG_RELU: u8 = 0;
@@ -112,7 +116,7 @@ const TAG_LINEAR: u8 = 5;
 /// Longest accepted model-name header, in bytes.
 const NAME_LIMIT: usize = 4096;
 
-/// Ceiling on the v3 section count — far above any real model, small
+/// Ceiling on the v3/v4 section count — far above any real model, small
 /// enough that a corrupt header cannot demand a gigantic directory.
 const SECTION_LIMIT: usize = 1 << 20;
 
@@ -186,9 +190,11 @@ impl Writer {
     }
 }
 
-/// Collects the bulk payloads of a v3 snapshot while the stage descriptors
-/// are encoded; the assembler lays them out aligned afterwards.
+/// Collects the bulk payloads of a v3/v4 snapshot while the stage
+/// descriptors are encoded; the assembler lays them out aligned afterwards.
 struct SectionWriter {
+    /// The revision being written: it decides the table layout.
+    version: u32,
     payloads: Vec<Vec<u8>>,
 }
 
@@ -317,24 +323,31 @@ fn write_pecan_scalars(w: &mut Writer, lut: &LayerLut, geom: Option<&Conv2dGeome
     }
 }
 
+/// A table's bits in the `[cout, p]` layout of snapshots v1–v3. The copy
+/// is temporary: writing an old revision never builds the table's cached
+/// [`LookupTable::table`] view on a live engine.
+fn output_major(table: &LookupTable) -> Tensor {
+    table.prototype_rows().transpose2().expect("lookup tables are rank 2")
+}
+
 /// v1/v2 PECAN payload: scalars then inline `[d, p]` codebook and
 /// `[cout, p]` table bits per group, then the bias.
 fn write_pecan(w: &mut Writer, lut: &LayerLut, geom: Option<&Conv2dGeometry>) {
     write_pecan_scalars(w, lut, geom);
     for (cb, table) in lut.codebooks().iter().zip(lut.luts()) {
         w.f32s(cb.data());
-        w.f32s(table.table().data());
+        w.f32s(output_major(table).data());
     }
     if let Some(b) = lut.bias() {
         w.f32s(b.data());
     }
 }
 
-/// v3 PECAN payload: scalars then per group the section indices of the
-/// `[p, d]` CAM rows and the `[cout, p]` table, then the bias section.
-/// The runtime layout goes to disk unchanged — serialization is a byte
-/// copy and zero-copy loading needs no transform.
-fn write_pecan_v3(
+/// v3/v4 PECAN payload: scalars then per group the section indices of
+/// the `[p, d]` CAM rows and the table, then the bias section. v4 stores
+/// the table in its runtime `[p, cout]` layout, so serialization is a byte
+/// copy and zero-copy loading needs no transform; v3 stores `[cout, p]`.
+fn write_pecan_sectioned(
     w: &mut Writer,
     sections: &mut SectionWriter,
     lut: &LayerLut,
@@ -343,7 +356,12 @@ fn write_pecan_v3(
     write_pecan_scalars(w, lut, geom);
     for (rows, table) in lut.cam_rows().iter().zip(lut.luts()) {
         w.usize(sections.add(rows.data()));
-        w.usize(sections.add(table.table().data()));
+        let idx = if sections.version >= 4 {
+            sections.add(table.prototype_rows().data())
+        } else {
+            sections.add(output_major(table).data())
+        };
+        w.usize(idx);
     }
     if let Some(b) = lut.bias() {
         w.usize(sections.add(b.data()));
@@ -432,17 +450,19 @@ fn read_pecan(
     Ok((lut, geom))
 }
 
-/// Section-materialization callback for v3 readers: maps a directory
+/// Section-materialization callback for v3/v4 readers: maps a directory
 /// index plus its expected shape to a [`Tensor`] (copying or zero-copy).
 type Materialize<'a> = &'a dyn Fn(usize, &[usize]) -> Result<Tensor, SnapshotError>;
 
-/// v3 PECAN reader: materializes each referenced section as a [`Tensor`]
-/// through `materialize` (copying or zero-copy, the caller decides) and
-/// builds the engine with [`LayerLut::from_borrowed_tables`] — no
-/// transpose, no reshuffle.
-fn read_pecan_v3(
+/// v3/v4 PECAN reader: materializes each referenced section as a
+/// [`Tensor`] through `materialize` (copying or zero-copy, the caller
+/// decides) and builds the engine with [`LayerLut::from_borrowed_tables`].
+/// v4 tables are wrapped as they are; v3 tables (`[cout, p]`) are
+/// transposed once, so only the copying loader may read v3.
+fn read_pecan_sectioned(
     r: &mut Reader<'_>,
     conv: bool,
+    version: u32,
     materialize: Materialize<'_>,
 ) -> Result<(LayerLut, Option<Conv2dGeometry>), SnapshotError> {
     let (variant, config, c_out, has_bias, geom) = read_pecan_scalars(r, conv)?;
@@ -454,10 +474,12 @@ fn read_pecan_v3(
         let rows_idx = r.usize()?;
         let table_idx = r.usize()?;
         cams.push(materialize(rows_idx, &[prototypes, dim])?);
-        tables.push(
+        let table = if version >= 4 {
+            LookupTable::from_prototype_rows(materialize(table_idx, &[prototypes, c_out])?)
+        } else {
             LookupTable::new(materialize(table_idx, &[c_out, prototypes])?)
-                .map_err(|e| SnapshotError::Corrupt(e.to_string()))?,
-        );
+        };
+        tables.push(table.map_err(|e| SnapshotError::Corrupt(e.to_string()))?);
     }
     let bias = if has_bias {
         let idx = r.usize()?;
@@ -485,13 +507,13 @@ fn write_stage(w: &mut Writer, sections: Option<&mut SectionWriter>, stage: &dyn
     } else if let Some(conv) = any.downcast_ref::<LutConvStage>() {
         w.u8(TAG_CONV);
         match sections {
-            Some(s) => write_pecan_v3(w, s, conv.lut_engine(), Some(conv.geometry())),
+            Some(s) => write_pecan_sectioned(w, s, conv.lut_engine(), Some(conv.geometry())),
             None => write_pecan(w, conv.lut_engine(), Some(conv.geometry())),
         }
     } else if let Some(lin) = any.downcast_ref::<LutLinearStage>() {
         w.u8(TAG_LINEAR);
         match sections {
-            Some(s) => write_pecan_v3(w, s, lin.lut_engine(), None),
+            Some(s) => write_pecan_sectioned(w, s, lin.lut_engine(), None),
             None => write_pecan(w, lin.lut_engine(), None),
         }
     } else {
@@ -499,9 +521,9 @@ fn write_stage(w: &mut Writer, sections: Option<&mut SectionWriter>, stage: &dyn
     }
 }
 
-// ------------------------------------------------------------ v3 sections
+// --------------------------------------------------------- v3/v4 sections
 
-/// One entry of the v3 section directory.
+/// One entry of the v3/v4 section directory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SectionInfo {
     /// Byte offset of the section from the start of the file (64-aligned).
@@ -512,10 +534,10 @@ pub struct SectionInfo {
     pub crc: u32,
 }
 
-/// Parses and validates the v3 header region: checks the header CRC,
+/// Parses and validates the v3/v4 header region: checks the header CRC,
 /// reads the section directory, and returns the directory plus a reader
 /// positioned at the model name (the tail).
-fn read_v3_header(bytes: &[u8]) -> Result<(Vec<SectionInfo>, Reader<'_>), SnapshotError> {
+fn read_sectioned_header(bytes: &[u8]) -> Result<(Vec<SectionInfo>, Reader<'_>), SnapshotError> {
     // magic(8) + version(4) + header_len(4) + count(4) + CRC(4)
     const MIN_HEADER: usize = 24;
     if bytes.len() < MIN_HEADER {
@@ -562,10 +584,11 @@ fn read_v3_header(bytes: &[u8]) -> Result<(Vec<SectionInfo>, Reader<'_>), Snapsh
     Ok((dir, r))
 }
 
-/// Decodes the v3 tail (name, shapes, stages) of an already-validated
+/// Decodes the v3/v4 tail (name, shapes, stages) of an already-validated
 /// header, materializing sections through `materialize`.
-fn read_v3_engine(
+fn read_sectioned_engine(
     mut r: Reader<'_>,
+    version: u32,
     materialize: Materialize<'_>,
 ) -> Result<FrozenEngine, SnapshotError> {
     let name = r.name()?;
@@ -595,14 +618,14 @@ fn read_v3_engine(
             TAG_GAP => Box::new(GlobalAvgPoolStage),
             TAG_FLATTEN => Box::new(FlattenStage),
             TAG_CONV => {
-                let (lut, geom) = read_pecan_v3(&mut r, true, materialize)?;
+                let (lut, geom) = read_pecan_sectioned(&mut r, true, version, materialize)?;
                 Box::new(
                     LutConvStage::new(lut, geom.expect("conv payload carries geometry"))
                         .map_err(|e| SnapshotError::Corrupt(e.to_string()))?,
                 )
             }
             TAG_LINEAR => {
-                let (lut, _) = read_pecan_v3(&mut r, false, materialize)?;
+                let (lut, _) = read_pecan_sectioned(&mut r, false, version, materialize)?;
                 Box::new(LutLinearStage::new(lut))
             }
             other => return Err(SnapshotError::Corrupt(format!("stage tag {other}"))),
@@ -639,10 +662,10 @@ fn section_entry<'d>(
     Ok(entry)
 }
 
-/// Copying v3 loader: decodes every referenced section to the heap,
+/// Copying v3/v4 loader: decodes every referenced section to the heap,
 /// verifying its CRC. Used by [`FrozenEngine::from_snapshot_bytes`].
-fn read_v3_copying(bytes: &[u8]) -> Result<FrozenEngine, SnapshotError> {
-    let (dir, tail) = read_v3_header(bytes)?;
+fn read_sectioned_copying(bytes: &[u8], version: u32) -> Result<FrozenEngine, SnapshotError> {
+    let (dir, tail) = read_sectioned_header(bytes)?;
     let materialize = |idx: usize, dims: &[usize]| -> Result<Tensor, SnapshotError> {
         let e = section_entry(&dir, idx, dims)?;
         let payload = &bytes[e.offset as usize..(e.offset + e.byte_len) as usize];
@@ -653,10 +676,10 @@ fn read_v3_copying(bytes: &[u8]) -> Result<FrozenEngine, SnapshotError> {
         Tensor::from_vec(decode_f32s(payload), dims)
             .map_err(|err| SnapshotError::Corrupt(err.to_string()))
     };
-    read_v3_engine(tail, &materialize)
+    read_sectioned_engine(tail, version, &materialize)
 }
 
-/// Zero-copy v3 loader: every bulk tensor is a borrowed window into
+/// Zero-copy loader for the current revision (v4): every bulk tensor is a borrowed window into
 /// `owner`'s buffer. `bytes` must be the same buffer `owner.f32s()` views
 /// (the caller guarantees it — e.g. both sides of one memory map).
 /// Section CRCs are checked only when `verify_sections` is set; the header
@@ -683,10 +706,12 @@ pub(crate) fn engine_from_shared(
         return Err(SnapshotError::BadMagic);
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("four bytes"));
-    if version != 3 {
+    // Only v4 stores every section in runtime layout; a v3 table would
+    // need a transpose, so v3 files take the copying loader.
+    if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion { found: version });
     }
-    let (dir, tail) = read_v3_header(bytes)?;
+    let (dir, tail) = read_sectioned_header(bytes)?;
     let materialize = |idx: usize, dims: &[usize]| -> Result<Tensor, SnapshotError> {
         let e = section_entry(&dir, idx, dims)?;
         if verify_sections {
@@ -699,7 +724,7 @@ pub(crate) fn engine_from_shared(
         Tensor::from_shared(Arc::clone(owner), e.offset as usize / 4, dims)
             .map_err(|err| SnapshotError::Corrupt(err.to_string()))
     };
-    read_v3_engine(tail, &materialize)
+    read_sectioned_engine(tail, version, &materialize)
 }
 
 // ------------------------------------------------------------ inspection
@@ -720,13 +745,14 @@ pub struct SnapshotInfo {
     pub stage_count: usize,
     /// Total file length in bytes.
     pub file_len: usize,
-    /// v3 section directory (empty for v1/v2).
+    /// v3/v4 section directory (empty for v1/v2).
     pub sections: Vec<SectionInfo>,
 }
 
 /// Decodes a snapshot's structural metadata — version, name, shapes, stage
-/// count and (v3) the section directory — verifying the header checksum
-/// (v3) or the whole-file checksum (v1/v2) but not decoding stage payloads.
+/// count and (v3/v4) the section directory — verifying the header checksum
+/// (v3/v4) or the whole-file checksum (v1/v2) but not decoding stage
+/// payloads.
 ///
 /// # Errors
 ///
@@ -745,8 +771,8 @@ pub fn inspect_snapshot_bytes(bytes: &[u8]) -> Result<SnapshotInfo, SnapshotErro
     if version == 0 || version > SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion { found: version });
     }
-    if version == 3 {
-        let (sections, mut r) = read_v3_header(bytes)?;
+    if version >= 3 {
+        let (sections, mut r) = read_sectioned_header(bytes)?;
         let name = r.name()?;
         let input_shape = r.dims(DIM_LIMIT)?;
         let output_shape = r.dims(DIM_LIMIT)?;
@@ -800,7 +826,9 @@ impl FrozenEngine {
     /// Serializes the engine as a specific format revision — version 1
     /// for files the oldest reader can load (drops the model name),
     /// version 2 for the sequential named format, version 3 for the
-    /// current section-directory format.
+    /// section-directory format with `[cout, p]` tables, version 4 for
+    /// the current one with prototype-major `[p, cout]` tables. Versions
+    /// 1–3 transpose every table on write.
     ///
     /// # Errors
     ///
@@ -810,8 +838,8 @@ impl FrozenEngine {
         if version == 0 || version > SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion { found: version });
         }
-        if version == 3 {
-            return Ok(self.snapshot_bytes_v3());
+        if version >= 3 {
+            return Ok(self.snapshot_bytes_sectioned(version));
         }
         let mut w = Writer { buf: Vec::new() };
         w.buf.extend_from_slice(&SNAPSHOT_MAGIC);
@@ -844,12 +872,12 @@ impl FrozenEngine {
         w.buf.extend_from_slice(bytes);
     }
 
-    /// Assembles the v3 layout: encode the tail while collecting section
-    /// payloads, lay the sections out 64-aligned after the header, then
-    /// stamp the directory and header CRC.
-    fn snapshot_bytes_v3(&self) -> Vec<u8> {
+    /// Assembles the v3/v4 layout: encode the tail while collecting
+    /// section payloads, lay the sections out 64-aligned after the header,
+    /// then stamp the directory and header CRC.
+    fn snapshot_bytes_sectioned(&self, version: u32) -> Vec<u8> {
         let mut tail = Writer { buf: Vec::new() };
-        let mut sections = SectionWriter { payloads: Vec::new() };
+        let mut sections = SectionWriter { version, payloads: Vec::new() };
         self.write_name(&mut tail);
         tail.dims(&self.input_shape);
         tail.dims(&self.output_shape);
@@ -873,7 +901,7 @@ impl FrozenEngine {
         let file_len = cursor.max(align_up(header_len));
         let mut w = Writer { buf: Vec::with_capacity(file_len) };
         w.buf.extend_from_slice(&SNAPSHOT_MAGIC);
-        w.u32(3);
+        w.u32(version);
         w.usize(header_len);
         w.usize(n);
         for e in &dir {
@@ -930,8 +958,8 @@ impl FrozenEngine {
         if version == 0 || version > SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion { found: version });
         }
-        if version == 3 {
-            return read_v3_copying(bytes);
+        if version >= 3 {
+            return read_sectioned_copying(bytes, version);
         }
         let (payload, trailer) = bytes.split_at(bytes.len() - TRAILER);
         let stored = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
@@ -1033,19 +1061,38 @@ mod tests {
     #[test]
     fn v3_layout_is_aligned_and_self_describing() {
         let engine = crate::demo::mlp_engine(1);
-        let bytes = engine.snapshot_bytes();
-        assert_eq!(bytes.len() % SECTION_ALIGN, 0);
-        let info = inspect_snapshot_bytes(&bytes).unwrap();
-        assert_eq!(info.version, 3);
-        assert_eq!(info.name.as_deref(), Some("mlp"));
-        assert_eq!(info.stage_count, engine.stage_count());
-        assert!(!info.sections.is_empty());
-        for s in &info.sections {
-            assert_eq!(s.offset as usize % SECTION_ALIGN, 0);
-            assert_eq!(s.byte_len % 4, 0);
-            let payload = &bytes[s.offset as usize..(s.offset + s.byte_len) as usize];
-            assert_eq!(crc32(payload), s.crc);
+        // v3 and v4 share the sectioned container.
+        for version in [3, SNAPSHOT_VERSION] {
+            let bytes = engine.snapshot_bytes_versioned(version).unwrap();
+            assert_eq!(bytes.len() % SECTION_ALIGN, 0);
+            let info = inspect_snapshot_bytes(&bytes).unwrap();
+            assert_eq!(info.version, version);
+            assert_eq!(info.name.as_deref(), Some("mlp"));
+            assert_eq!(info.stage_count, engine.stage_count());
+            assert!(!info.sections.is_empty());
+            for s in &info.sections {
+                assert_eq!(s.offset as usize % SECTION_ALIGN, 0);
+                assert_eq!(s.byte_len % 4, 0);
+                let payload = &bytes[s.offset as usize..(s.offset + s.byte_len) as usize];
+                assert_eq!(crc32(payload), s.crc);
+            }
         }
+    }
+
+    #[test]
+    fn v4_tables_are_prototype_major_and_v3_tables_output_major() {
+        let engine = crate::demo::mlp_engine(2);
+        let lut = engine.stages().iter().find_map(|s| s.lut()).unwrap();
+        let table = &lut.luts()[0];
+        // Section order per group: CAM rows, then the table.
+        let section = |version: u32| {
+            let bytes = engine.snapshot_bytes_versioned(version).unwrap();
+            let s = inspect_snapshot_bytes(&bytes).unwrap().sections[1];
+            decode_f32s(&bytes[s.offset as usize..(s.offset + s.byte_len) as usize])
+        };
+        assert_eq!(section(4), table.prototype_rows().data());
+        assert_eq!(section(3), table.table().data());
+        assert_ne!(section(3), section(4));
     }
 
     #[test]
@@ -1059,10 +1106,12 @@ mod tests {
         assert_eq!(name_len, NAME_LIMIT - 1);
         let reloaded = FrozenEngine::from_snapshot_bytes(&bytes).unwrap();
         assert_eq!(reloaded.name(), Some("a".repeat(NAME_LIMIT - 1).as_str()));
-        // v3 clamps identically.
-        let v3 = reloaded.snapshot_bytes();
-        let again = FrozenEngine::from_snapshot_bytes(&v3).unwrap();
-        assert_eq!(again.name(), reloaded.name());
+        // v3 and v4 clamp identically.
+        for version in [3, SNAPSHOT_VERSION] {
+            let bytes = reloaded.snapshot_bytes_versioned(version).unwrap();
+            let again = FrozenEngine::from_snapshot_bytes(&bytes).unwrap();
+            assert_eq!(again.name(), reloaded.name());
+        }
     }
 
     #[test]
@@ -1085,8 +1134,17 @@ mod tests {
         let input = vec![0.125f32; engine.input_len()];
         let want = engine.predict(&input).unwrap();
 
-        let copied = FrozenEngine::from_snapshot_bytes(&bytes).unwrap();
-        assert_eq!(copied.predict(&input).unwrap(), want);
+        let v3 = engine.snapshot_bytes_versioned(3).unwrap();
+        for file in [&v3, &bytes] {
+            let copied = FrozenEngine::from_snapshot_bytes(file).unwrap();
+            assert_eq!(copied.predict(&input).unwrap(), want);
+        }
+        // The zero-copy loader never reads v3's `[cout, p]` tables as rows.
+        let v3_scalars: Arc<dyn F32Source> = Arc::new(decode_f32s(&v3));
+        assert!(matches!(
+            engine_from_shared(&v3_scalars, &v3, true),
+            Err(SnapshotError::UnsupportedVersion { found: 3 })
+        ));
 
         // Zero-copy: build over an f32 view of the same bytes. The engine's
         // bulk tensors must be borrowed views, not heap copies.
@@ -1101,7 +1159,7 @@ mod tests {
                     shared_tensors += 1;
                 }
                 for t in lut.luts() {
-                    assert!(t.table().is_shared(), "tables must borrow the source");
+                    assert!(t.prototype_rows().is_shared(), "tables must borrow the source");
                     shared_tensors += 1;
                 }
             }

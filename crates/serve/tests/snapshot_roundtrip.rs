@@ -64,37 +64,42 @@ proptest! {
         prop_assert!(FrozenEngine::from_snapshot_bytes(&bytes).is_err());
     }
 
-    /// v3: a flip anywhere inside the header region is caught by the header
-    /// CRC (or by magic/version gating) before any section is touched.
+    /// v3 and v4: a flip anywhere inside the header region is caught by
+    /// the header CRC (or by magic/version gating) before any section is
+    /// touched.
     #[test]
     fn v3_header_flip_is_a_typed_error(pos_permille in 0u32..1000, flip in 1u32..256) {
-        let mut bytes = demo::mlp_engine(2).snapshot_bytes();
-        let header_len =
-            u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
-        let pos = (header_len as u64 * u64::from(pos_permille) / 1000) as usize;
-        let pos = pos.min(header_len - 1);
-        bytes[pos] ^= flip as u8;
-        prop_assert!(FrozenEngine::from_snapshot_bytes(&bytes).is_err());
+        for version in [3, SNAPSHOT_VERSION] {
+            let mut bytes = demo::mlp_engine(2).snapshot_bytes_versioned(version).unwrap();
+            let header_len =
+                u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+            let pos = (header_len as u64 * u64::from(pos_permille) / 1000) as usize;
+            let pos = pos.min(header_len - 1);
+            bytes[pos] ^= flip as u8;
+            prop_assert!(FrozenEngine::from_snapshot_bytes(&bytes).is_err());
+        }
     }
 
-    /// v3: a flip anywhere inside any *section payload* trips exactly that
-    /// section's CRC on the copying path.
+    /// v3 and v4: a flip anywhere inside any *section payload* trips
+    /// exactly that section's CRC on the copying path.
     #[test]
     fn v3_section_flip_reports_checksum_mismatch(
         section_seed in proptest::num::u64::ANY,
         pos_permille in 0u32..1000,
         flip in 1u32..256,
     ) {
-        let mut bytes = demo::mlp_engine(2).snapshot_bytes();
-        let info = pecan_serve::inspect_snapshot_bytes(&bytes).unwrap();
-        let s = info.sections[(section_seed % info.sections.len() as u64) as usize];
-        let pos = s.offset + s.byte_len as u64 * u64::from(pos_permille) / 1000;
-        let pos = (pos as usize).min((s.offset + s.byte_len) as usize - 1);
-        bytes[pos] ^= flip as u8;
-        prop_assert!(matches!(
-            FrozenEngine::from_snapshot_bytes(&bytes).unwrap_err(),
-            SnapshotError::ChecksumMismatch { .. }
-        ));
+        for version in [3, SNAPSHOT_VERSION] {
+            let mut bytes = demo::mlp_engine(2).snapshot_bytes_versioned(version).unwrap();
+            let info = pecan_serve::inspect_snapshot_bytes(&bytes).unwrap();
+            let s = info.sections[(section_seed % info.sections.len() as u64) as usize];
+            let pos = s.offset + s.byte_len as u64 * u64::from(pos_permille) / 1000;
+            let pos = (pos as usize).min((s.offset + s.byte_len) as usize - 1);
+            bytes[pos] ^= flip as u8;
+            prop_assert!(matches!(
+                FrozenEngine::from_snapshot_bytes(&bytes).unwrap_err(),
+                SnapshotError::ChecksumMismatch { .. }
+            ));
+        }
     }
 }
 
@@ -350,4 +355,83 @@ fn file_round_trip_through_disk() {
         FrozenEngine::load_snapshot(dir.join("nope.psnp")).unwrap_err(),
         SnapshotError::Io(_)
     ));
+}
+
+#[test]
+fn v3_files_load_and_infer_bit_identically_to_v4() {
+    // v3 stores `[c_out, p]` tables; the copying loader transposes them
+    // into the v4 runtime layout, so the engines are equal and answer
+    // with the same bits.
+    for engine in [demo::mlp_engine(7), demo::lenet_engine(7)] {
+        let v4 = FrozenEngine::from_snapshot_bytes(&engine.snapshot_bytes()).unwrap();
+        let v3 = FrozenEngine::from_snapshot_bytes(&engine.snapshot_bytes_versioned(3).unwrap())
+            .unwrap();
+        for (a, b) in v3.stages().iter().zip(v4.stages()) {
+            if let (Some(a), Some(b)) = (a.lut(), b.lut()) {
+                assert_eq!(a.luts(), b.luts());
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(71);
+        let cols = 5;
+        let x = pecan_tensor::uniform(&mut rng, &[cols * engine.input_len()], -1.0, 1.0)
+            .into_vec();
+        let batch = |x: &[f32]| {
+            pecan_core::InferBatch::from_data(x.to_vec(), engine.input_shape(), cols).unwrap()
+        };
+        let want = v4.infer(batch(&x)).unwrap();
+        let got = v3.infer(batch(&x)).unwrap();
+        assert_bits_eq(got.data(), want.data());
+        assert_bits_eq(want.data(), engine.infer(batch(&x)).unwrap().data());
+    }
+}
+
+#[test]
+fn v4_round_trips_through_v3_and_v2_byte_identically() {
+    for engine in [demo::mlp_engine(8), demo::lenet_engine(8)] {
+        let v4 = engine.snapshot_bytes();
+        assert_eq!(u32::from_le_bytes(v4[8..12].try_into().unwrap()), SNAPSHOT_VERSION);
+        for older in [3, 2] {
+            let down = FrozenEngine::from_snapshot_bytes(&v4)
+                .unwrap()
+                .snapshot_bytes_versioned(older)
+                .unwrap();
+            assert_eq!(u32::from_le_bytes(down[8..12].try_into().unwrap()), older);
+            let up = FrozenEngine::from_snapshot_bytes(&down).unwrap().snapshot_bytes();
+            assert!(up == v4, "v4 -> v{older} -> v4 changed the bytes");
+        }
+    }
+}
+
+#[test]
+fn mmap_borrows_v4_tables_and_copies_v3_files() {
+    let engine = demo::lenet_engine(9);
+    let dir = std::env::temp_dir().join(format!("pecan-snap-mmap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (v4_path, v3_path) = (dir.join("v4.psnp"), dir.join("v3.psnp"));
+    engine.save_snapshot(&v4_path).unwrap();
+    std::fs::write(&v3_path, engine.snapshot_bytes_versioned(3).unwrap()).unwrap();
+    let mapped = FrozenEngine::open_snapshot(&v4_path).unwrap();
+    let copied = FrozenEngine::open_snapshot(&v3_path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let tables = |e: &FrozenEngine| -> Vec<bool> {
+        e.stages()
+            .iter()
+            .filter_map(|s| s.lut())
+            .flat_map(|l| l.luts().iter().map(|t| t.prototype_rows().is_shared()))
+            .collect()
+    };
+    assert!(!tables(&copied).is_empty());
+    assert!(tables(&copied).iter().all(|&shared| !shared), "v3 must load by copy");
+    assert!(!copied.uses_shared_storage());
+    if pecan_serve::mmap_supported() {
+        assert!(tables(&mapped).iter().all(|&shared| shared), "v4 tables must borrow the map");
+    }
+    let mut rng = StdRng::seed_from_u64(72);
+    for _ in 0..3 {
+        let x = pecan_tensor::uniform(&mut rng, &[engine.input_len()], -1.0, 1.0).into_vec();
+        let want = engine.predict(&x).unwrap();
+        assert_bits_eq(&mapped.predict(&x).unwrap(), &want);
+        assert_bits_eq(&copied.predict(&x).unwrap(), &want);
+    }
 }
